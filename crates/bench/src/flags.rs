@@ -93,12 +93,6 @@ impl FlagParser {
                 "worker threads for sweeps (also MEMHIER_JOBS)",
             )
             .option(
-                "--sim-threads",
-                "N",
-                "host threads inside one simulation — the epoch-parallel \
-                 engine; 0 = classic engine (also MEMHIER_SIM_THREADS)",
-            )
-            .option(
                 "--checkpoint",
                 "PATH",
                 "append completed sweep points to this JSONL journal",
@@ -313,26 +307,6 @@ impl Matches {
         }
     }
 
-    /// Install a present, well-formed `--sim-threads N` process-wide
-    /// (override + `MEMHIER_SIM_THREADS`).  `0` explicitly selects the
-    /// classic engine, clearing any inherited environment setting.
-    pub fn apply_sim_threads(&self) {
-        match self.parsed::<usize>("--sim-threads") {
-            Ok(Some(n)) => {
-                crate::sweeprun::set_sim_threads(n);
-                if n > 0 {
-                    std::env::set_var("MEMHIER_SIM_THREADS", n.to_string());
-                } else {
-                    std::env::remove_var("MEMHIER_SIM_THREADS");
-                }
-            }
-            Ok(None) => {}
-            Err(_) => {
-                eprintln!("warning: ignoring malformed --sim-threads (want a non-negative integer)")
-            }
-        }
-    }
-
     /// The fault plan from `--faults SPEC`, falling back to
     /// `MEMHIER_FAULTS` (a missing flag and env var is the empty plan; a
     /// malformed spec in either is an error).
@@ -369,7 +343,6 @@ impl Matches {
     /// checkpointed path.
     pub fn apply_sweep_config(&self) -> Result<(), String> {
         self.apply_jobs();
-        self.apply_sim_threads();
         let cfg = self.checkpoint_config()?;
         if cfg.is_active() {
             crate::sweeprun::set_checkpoint_config(Some(cfg));

@@ -117,35 +117,12 @@ pub struct ObservedRun {
 
 /// [`simulate_workload_with`] plus observers: the full observability
 /// entry point the sweep runner and the CLI's `--metrics`/`--trace`
-/// flags go through.  The engine choice comes from the ambient
-/// `--sim-threads` / `MEMHIER_SIM_THREADS` setting (see
-/// [`crate::sweeprun::sim_threads`]); use [`simulate_workload_threads`]
-/// to pin it explicitly.
+/// flags go through.
 pub fn simulate_workload_observed(
     workload: &Workload,
     cluster: &ClusterSpec,
     latency: &LatencyParams,
     observers: &ObserverConfig,
-) -> ObservedRun {
-    simulate_workload_threads(
-        workload,
-        cluster,
-        latency,
-        observers,
-        crate::sweeprun::sim_threads().unwrap_or(0),
-    )
-}
-
-/// [`simulate_workload_observed`] with an explicit engine selection:
-/// `sim_threads = 0` runs the classic conservative engine (the golden
-/// fixtures' pinned semantics), `n ≥ 1` runs the epoch-parallel engine
-/// on `n` host threads (results identical for every `n`).
-pub fn simulate_workload_threads(
-    workload: &Workload,
-    cluster: &ClusterSpec,
-    latency: &LatencyParams,
-    observers: &ObserverConfig,
-    sim_threads: usize,
 ) -> ObservedRun {
     let procs = cluster.total_procs() as usize;
     let program = workload.instantiate(procs);
@@ -159,8 +136,7 @@ pub fn simulate_workload_threads(
     let cfg = *observers;
     let (out, counters) = stream_spmd(program, move |rxs| {
         let mut session = SimSession::new(backend)
-            .with_sources(rxs.into_iter().map(ProcSource::Channel).collect())
-            .sim_threads(sim_threads);
+            .with_sources(rxs.into_iter().map(ProcSource::Channel).collect());
         if let Some(window) = cfg.metrics_window {
             session = session.observe(TimeSeriesCollector::new(window));
         }

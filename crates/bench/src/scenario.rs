@@ -35,7 +35,7 @@
 
 use crate::faults::FaultPlan;
 use crate::names::{config_by_name, sizes_by_name, workload_kind_by_name};
-use crate::runner::{simulate_workload_threads, ObservedRun, ObserverConfig, Sizes};
+use crate::runner::{simulate_workload_observed, ObservedRun, ObserverConfig, Sizes};
 use crate::sweeprun::SweepPlan;
 use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
@@ -120,11 +120,6 @@ pub struct Scenario {
     /// Observers attached to the run (default: none — the engine's hot
     /// loop stays observer-free).
     pub observers: ObserverConfig,
-    /// Intra-scenario engine threads: `Some(n)` pins the epoch-parallel
-    /// engine on `n` host threads (`Some(0)` pins the classic engine),
-    /// `None` defers to the ambient `--sim-threads` /
-    /// `MEMHIER_SIM_THREADS` setting.
-    pub sim_threads: Option<usize>,
     /// Deterministic fault-injection plan (default: empty).
     pub faults: FaultPlan,
 }
@@ -139,12 +134,11 @@ impl Scenario {
     /// Run the scenario through the program-driven simulator with the
     /// paper's latency table.
     pub fn run(&self) -> ObservedRun {
-        simulate_workload_threads(
+        simulate_workload_observed(
             &self.resolved_workload(),
             &self.config,
             &LatencyParams::paper(),
             &self.observers,
-            self.resolved_sim_threads(),
         )
     }
 
@@ -158,13 +152,11 @@ impl Scenario {
         }
     }
 
-    /// The engine selection this scenario runs with: its own pin, else
-    /// the ambient [`crate::sweeprun::sim_threads`] setting, else the
-    /// classic engine.
+    /// Always `0`: the classic engine is the only engine.  Kept for the
+    /// benchmark harness in `perfbench/`, which calls it.
+    #[doc(hidden)]
     pub fn resolved_sim_threads(&self) -> usize {
-        self.sim_threads
-            .or_else(crate::sweeprun::sim_threads)
-            .unwrap_or(0)
+        0
     }
 
     /// The canonical JSON form.  `config` collapses to its paper name
@@ -208,12 +200,6 @@ impl Scenario {
             fields.push((
                 "trace_capacity".to_string(),
                 serde_json::to_value(&cap).unwrap(),
-            ));
-        }
-        if let Some(threads) = self.sim_threads {
-            fields.push((
-                "sim_threads".to_string(),
-                serde_json::to_value(&(threads as u64)).unwrap(),
             ));
         }
         if !self.faults.is_empty() {
@@ -317,13 +303,6 @@ impl Scenario {
                     ))?;
                     b = b.trace_capacity(cap as usize);
                 }
-                "sim_threads" => {
-                    let threads = value.as_u64().ok_or(ScenarioError::Invalid(
-                        "sim_threads",
-                        "must be a non-negative integer (0 = classic engine)".to_string(),
-                    ))?;
-                    b = b.sim_threads(threads as usize);
-                }
                 "faults" => {
                     let spec = value.as_str().ok_or(ScenarioError::Invalid(
                         "faults",
@@ -343,8 +322,17 @@ impl Scenario {
     /// [..], "size"?}` — into one scenario per `configs × workloads`
     /// point, cluster-major (all workloads on the first config, then the
     /// second, ...).  This is the shape of `memhierd`'s `/v1/sweep` body
-    /// and of the CLI's `--configs`/`--workloads` lists.
+    /// and of the CLI's `--configs`/`--workloads` lists.  Unknown keys
+    /// are rejected, as in [`Scenario::from_json`].
     pub fn expand_grid(v: &Value, default_size: Sizes) -> Result<Vec<Scenario>, ScenarioError> {
+        if let Value::Object(fields) = v {
+            if let Some((key, _)) = fields
+                .iter()
+                .find(|(k, _)| !matches!(k.as_str(), "configs" | "workloads" | "size"))
+            {
+                return Err(ScenarioError::UnknownField(key.clone()));
+            }
+        }
         let names = |key: &'static str| -> Result<Vec<&str>, ScenarioError> {
             v.get(key)
                 .and_then(Value::as_array)
@@ -373,24 +361,16 @@ impl Scenario {
                 sizes_by_name(name).map_err(|_| ScenarioError::UnknownSize(name.to_string()))?
             }
         };
-        let sim_threads = match v.get("sim_threads").filter(|f| !f.is_null()) {
-            None => None,
-            Some(f) => Some(f.as_u64().ok_or(ScenarioError::Invalid(
-                "sim_threads",
-                "must be a non-negative integer (0 = classic engine)".to_string(),
-            ))? as usize),
-        };
         let mut out = Vec::with_capacity(configs.len() * workloads.len());
         for config in &configs {
             for workload in &workloads {
-                let mut b = Scenario::builder()
-                    .config_name(config)
-                    .workload_name(workload)
-                    .size(size);
-                if let Some(threads) = sim_threads {
-                    b = b.sim_threads(threads);
-                }
-                out.push(b.build()?);
+                out.push(
+                    Scenario::builder()
+                        .config_name(config)
+                        .workload_name(workload)
+                        .size(size)
+                        .build()?,
+                );
             }
         }
         Ok(out)
@@ -429,9 +409,6 @@ impl Scenario {
         if scenarios.iter().any(|s| s.observers != first.observers) {
             return Err(ScenarioError::Mixed("observers"));
         }
-        if scenarios.iter().any(|s| s.sim_threads != first.sim_threads) {
-            return Err(ScenarioError::Mixed("sim_threads"));
-        }
         if scenarios.iter().any(|s| s.workload_params.is_some()) {
             // Sweep grids are (config × kind) points at the plan's size
             // tier; per-point parameter maps have nowhere to live there.
@@ -440,9 +417,7 @@ impl Scenario {
                 "parameter maps are not supported in sweep batches".to_string(),
             ));
         }
-        let mut plan = SweepPlan::new(name, first.size)
-            .with_observers(first.observers)
-            .with_sim_threads(first.sim_threads);
+        let mut plan = SweepPlan::new(name, first.size).with_observers(first.observers);
         for s in scenarios {
             plan = plan.point(&s.config, s.workload);
         }
@@ -456,7 +431,6 @@ impl fmt::Display for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let plain = self.observers == ObserverConfig::default()
             && self.faults.is_empty()
-            && self.sim_threads.is_none()
             && self.workload_params.is_none();
         match (&self.config.name, plain) {
             (Some(name), true) => write!(
@@ -533,7 +507,6 @@ pub struct ScenarioBuilder {
     workload_params: Option<Value>,
     size: Option<Result<Sizes, ScenarioError>>,
     observers: ObserverConfig,
-    sim_threads: Option<usize>,
     faults: FaultPlan,
 }
 
@@ -614,14 +587,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Pin the intra-scenario engine: `n ≥ 1` runs the epoch-parallel
-    /// engine on `n` host threads, `0` pins the classic engine (unset
-    /// defers to the ambient `--sim-threads` / `MEMHIER_SIM_THREADS`).
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = Some(threads);
-        self
-    }
-
     /// Set the fault-injection plan.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -644,7 +609,6 @@ impl ScenarioBuilder {
             workload_params: self.workload_params,
             size,
             observers: self.observers,
-            sim_threads: self.sim_threads,
             faults: self.faults,
         })
     }
@@ -815,6 +779,24 @@ mod tests {
         assert_eq!(
             Scenario::from_json(&bad).unwrap_err(),
             ScenarioError::UnknownField("metrics_windw".to_string())
+        );
+        // The removed engine-thread option is an unknown field in every
+        // spelling: a simulate body, a plan-file entry and a sweep grid.
+        let old: Value =
+            serde_json::from_str(r#"{"config": "C5", "workload": "FFT", "sim_threads": 2}"#)
+                .unwrap();
+        let removed = ScenarioError::UnknownField("sim_threads".to_string());
+        assert_eq!(Scenario::from_json(&old).unwrap_err(), removed);
+        assert_eq!(
+            Scenario::parse_batch(&Value::Array(vec![old])).unwrap_err(),
+            removed
+        );
+        let grid: Value =
+            serde_json::from_str(r#"{"configs": ["C5"], "workloads": ["FFT"], "sim_threads": 2}"#)
+                .unwrap();
+        assert_eq!(
+            Scenario::expand_grid(&grid, Sizes::Small).unwrap_err(),
+            removed
         );
         let bad: Value = serde_json::from_str(r#"{"config": 7, "workload": "FFT"}"#).unwrap();
         assert!(matches!(

@@ -24,8 +24,8 @@
 
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
 use crate::runner::{
-    characterize, simulate_workload_threads, Characterization, ObservedRun, ObserverConfig, SimRun,
-    Sizes,
+    characterize, simulate_workload_observed, Characterization, ObservedRun, ObserverConfig,
+    SimRun, Sizes,
 };
 use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
@@ -69,36 +69,6 @@ pub fn jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Process-wide `--sim-threads` override (0 = unset).
-static SIM_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Fix the intra-scenario engine thread count for every subsequent run
-/// (0 clears the override, falling back to `MEMHIER_SIM_THREADS`).
-pub fn set_sim_threads(n: usize) {
-    SIM_THREADS_OVERRIDE.store(n, Ordering::SeqCst);
-}
-
-/// Resolve the ambient intra-scenario thread count: [`set_sim_threads`]
-/// override, else `MEMHIER_SIM_THREADS`, else `None` — which selects the
-/// classic single-threaded engine.  `Some(n)` routes every simulation
-/// through the epoch-parallel engine on `n` host threads; the epoch
-/// engine's results are identical for every `n ≥ 1`, so this knob trades
-/// host CPU for wall-clock without perturbing simulated results.
-pub fn sim_threads() -> Option<usize> {
-    let explicit = SIM_THREADS_OVERRIDE.load(Ordering::SeqCst);
-    if explicit > 0 {
-        return Some(explicit);
-    }
-    if let Ok(v) = std::env::var("MEMHIER_SIM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return Some(n);
-            }
-        }
-    }
-    None
 }
 
 /// Parse `--jobs N` / `--jobs=N` from a binary's argument list and
@@ -149,12 +119,6 @@ pub struct SweepPlan {
     /// Observer configuration applied to every point (default: none —
     /// the engine's hot loop stays snapshot-free).
     pub observers: ObserverConfig,
-    /// Intra-scenario engine threads applied to every point: `Some(n)`
-    /// pins the epoch-parallel engine on `n` host threads, `None` defers
-    /// to the ambient [`sim_threads`] setting.  Part of the plan's
-    /// identity ([`plan_fingerprint`]) because the two engines' defined
-    /// semantics differ.
-    pub sim_threads: Option<usize>,
     points: Vec<GridPoint>,
 }
 
@@ -166,7 +130,6 @@ impl SweepPlan {
             sizes,
             latency: LatencyParams::paper(),
             observers: ObserverConfig::default(),
-            sim_threads: None,
             points: Vec::new(),
         }
     }
@@ -175,19 +138,6 @@ impl SweepPlan {
     pub fn with_latency(mut self, latency: LatencyParams) -> Self {
         self.latency = latency;
         self
-    }
-
-    /// Pin the intra-scenario engine thread count for every point
-    /// (`None` defers to the ambient [`sim_threads`] setting).
-    pub fn with_sim_threads(mut self, threads: Option<usize>) -> Self {
-        self.sim_threads = threads;
-        self
-    }
-
-    /// The engine selection each point runs with: the plan's pin, else
-    /// the ambient setting, else the classic engine.
-    pub fn resolved_sim_threads(&self) -> usize {
-        self.sim_threads.or_else(sim_threads).unwrap_or(0)
     }
 
     /// Attach observers to every point: each worker builds its own
@@ -316,12 +266,11 @@ fn run_sweep_direct(plan: &SweepPlan) -> Vec<PointResult> {
                     run,
                     metrics,
                     trace,
-                } = simulate_workload_threads(
+                } = simulate_workload_observed(
                     &workload,
                     &point.cluster,
                     &plan.latency,
                     &plan.observers,
-                    plan.resolved_sim_threads(),
                 );
                 let finished = done.fetch_add(1, Ordering::SeqCst) + 1;
                 eprintln!(
@@ -731,15 +680,9 @@ pub fn plan_fingerprint(plan: &SweepPlan) -> u64 {
     desc.push('|');
     desc.push_str(&format!("{:?}", plan.observers));
     desc.push('|');
-    // The engine kind, not the thread count: the epoch engine's results
-    // are identical for every n ≥ 1, so resuming a 2-thread journal on 8
-    // threads is sound — resuming a classic journal on the epoch engine
-    // (or vice versa) is not.
-    desc.push_str(if plan.resolved_sim_threads() > 0 {
-        "engine:epoch"
-    } else {
-        "engine:classic"
-    });
+    // A constant token: journals written by earlier builds hash it, so
+    // dropping it would stop them from resuming.
+    desc.push_str("engine:classic");
     for p in plan.points() {
         desc.push('|');
         desc.push_str(p.kind.name());
@@ -949,12 +892,11 @@ fn run_point_with_retries(
                 run,
                 metrics,
                 trace,
-            } = simulate_workload_threads(
+            } = simulate_workload_observed(
                 &workload,
                 &point.cluster,
                 &plan.latency,
                 &plan.observers,
-                plan.resolved_sim_threads(),
             );
             Ok(PointResult {
                 index,

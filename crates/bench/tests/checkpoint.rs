@@ -8,13 +8,15 @@
 //!   points and still reproduce the uninterrupted output byte for byte
 //!   (including attached observer artifacts);
 //! * a fingerprint mismatch refuses to resume; a torn trailing line (the
-//!   SIGKILL case) is tolerated.
+//!   SIGKILL case) is tolerated;
+//! * the fingerprint of a fixed plan never changes, so journals written
+//!   by earlier builds still resume.
 
 use memhier_bench::faults::FaultPlan;
 use memhier_bench::runner::{ObserverConfig, Sizes};
 use memhier_bench::sweeprun::{
-    run_sweep, run_sweep_checkpointed, set_jobs, CheckpointConfig, PointOutcome, PointResult,
-    SweepPlan,
+    plan_fingerprint, run_sweep, run_sweep_checkpointed, set_jobs, CheckpointConfig, PointOutcome,
+    PointResult, SweepPlan,
 };
 use memhier_core::machine::{MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
@@ -327,6 +329,16 @@ fn fingerprint_mismatch_refuses_resume_but_restarts_fresh() {
         "journal restarted: header + one record per point"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Journals written by earlier builds of this version must keep
+/// resuming, so the fingerprint of a fixed plan is pinned as a literal.
+/// A change to what `plan_fingerprint` hashes (or to how a plan
+/// serializes) shows up here before it silently invalidates every
+/// journal on disk.
+#[test]
+fn plan_fingerprint_of_a_fixed_plan_is_pinned() {
+    assert_eq!(plan_fingerprint(&plan()), 0x8226_c4ac_5b0b_7446);
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! the full `SimReport` JSON: the whole point of the rewrite is that
 //! absolute results do **not** move.
 
-use memhier_bench::runner::{simulate_workload_threads, ObserverConfig, Sizes};
+use memhier_bench::runner::{simulate_workload_observed, ObserverConfig, Sizes};
 use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
 use memhier_workloads::registry::WorkloadKind;
@@ -146,16 +146,11 @@ fn check_report(name: &str, actual: &str) {
 }
 
 fn run_one(plat_name: &str, cluster: &ClusterSpec, kind: WorkloadKind) {
-    // Pin the classic engine (`sim_threads = 0`) so these fixtures stay
-    // byte-stable even when the CI matrix exports MEMHIER_SIM_THREADS:
-    // they bless the *reference* engine the epoch engine is diffed
-    // against (see tests/thread_invariance.rs).
-    let run = simulate_workload_threads(
+    let run = simulate_workload_observed(
         &Sizes::Small.workload(kind),
         cluster,
         &LatencyParams::paper(),
         &ObserverConfig::default(),
-        0,
     )
     .run;
     let mut json = serde_json::to_string_pretty(&run.report).expect("serialize report");

@@ -22,7 +22,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use memhier_bench::experiments;
-use memhier_bench::runner::{simulate_workload_threads, ObserverConfig, Sizes};
+use memhier_bench::runner::{simulate_workload_observed, ObserverConfig, Sizes};
 use memhier_bench::tables::experiments_dir;
 use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
@@ -179,9 +179,7 @@ fn metrics_json_schema_matches_golden() {
         2,
         NetworkKind::Ethernet100,
     );
-    // Pinned to the classic engine so the schema fixture is identical
-    // under the CI MEMHIER_SIM_THREADS matrix legs.
-    let out = simulate_workload_threads(
+    let out = simulate_workload_observed(
         &Sizes::Small.workload(WorkloadKind::Fft),
         &cluster,
         &LatencyParams::paper(),
@@ -189,7 +187,6 @@ fn metrics_json_schema_matches_golden() {
             metrics_window: Some(100_000),
             trace_capacity: Some(64),
         },
-        0,
     );
     let series = out.metrics.expect("metrics requested");
     assert!(

@@ -86,10 +86,9 @@ USAGE:
   memhier model    --config <C1..C15|N4|N8|FT8|FT16> --workload <NAME> [--json]
   memhier model    --all [--json]
   memhier simulate --config <C1..C15> --workload <name> [--small|--paper] [--json]
-                   [--sim-threads <N>] [--metrics <out.json> [--window <cycles>]]
+                   [--metrics <out.json> [--window <cycles>]]
                    [--trace <out.jsonl> [--trace-cap <n>]]
   memhier record   --scenario <CONFIG:WORKLOAD[:SIZE]> -o <trace.mtr>
-                   [--sim-threads N]
   memhier fit      --workload <name> [--small|--paper] [--phases] [--json]
   memhier fit      --trace <file.mtr> [--granularity N] [--chunk-records N] [--json]
   memhier optimize --budget <dollars> (--workload <name> | --alpha A --beta B --rho R)
@@ -108,7 +107,7 @@ USAGE:
                    [--cache-ttl-ms MS] [--drain-grace-ms MS]
                    [--addr-file PATH] [--faults SPEC]
   memhier sweep    --configs C1,C2,...|@plan.json --workloads FFT,LU,... [--json]
-                   [--small|--paper] [--jobs N] [--sim-threads N]
+                   [--small|--paper] [--jobs N]
                    [--checkpoint PATH] [--resume] [--max-retries N] [--faults SPEC]
   memhier reproduce <table1|table2|fig2|fig3|fig4|coherence|speedup|
                      budget5k|budget20k|upgrade|fft4x|recommendations|

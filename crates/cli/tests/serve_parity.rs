@@ -161,7 +161,7 @@ fn v1_fit_matches_cli_json_bytes() {
 
 /// `/v1/optimize` must be byte-identical to `memhier optimize --json`
 /// for the same request — including the simulation confirmations, which
-/// ride on the thread-invariant engine.  The CLI's `--request` spelling
+/// ride on the deterministic engine.  The CLI's `--request` spelling
 /// accepts the exact serve body, closing the loop.
 #[test]
 fn v1_optimize_matches_cli_json_bytes() {

@@ -148,7 +148,7 @@ struct WorkerShared {
     state: Arc<AppState>,
     /// Worker-pool stop flag — raised only *after* the event loop has
     /// drained, so late-dispatched jobs are never stranded.
-    workers_stop: Arc<AtomicBool>,
+    workers_stop: AtomicBool,
     queue: Queue,
     completions: Arc<Mutex<Vec<Completion>>>,
     poller: Arc<Poller>,
@@ -170,11 +170,8 @@ fn lock_completions(c: &Mutex<Vec<Completion>>) -> std::sync::MutexGuard<'_, Vec
 /// A running `memhierd` instance.
 pub struct Server {
     local_addr: SocketAddr,
-    state: Arc<AppState>,
     stop: Arc<AtomicBool>,
-    workers_stop: Arc<AtomicBool>,
-    poller: Arc<Poller>,
-    queue: Queue,
+    shared: Arc<WorkerShared>,
     event_loop: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
 }
@@ -195,7 +192,6 @@ impl Server {
             workers,
         ));
         let stop = Arc::new(AtomicBool::new(false));
-        let workers_stop = Arc::new(AtomicBool::new(false));
         let queue: Queue = Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
         let completions = Arc::new(Mutex::new(Vec::new()));
         let poller = Arc::new(Poller::new()?);
@@ -203,7 +199,7 @@ impl Server {
 
         let shared = Arc::new(WorkerShared {
             state: Arc::clone(&state),
-            workers_stop: Arc::clone(&workers_stop),
+            workers_stop: AtomicBool::new(false),
             queue: Arc::clone(&queue),
             completions: Arc::clone(&completions),
             poller: Arc::clone(&poller),
@@ -245,11 +241,8 @@ impl Server {
         state.set_ready();
         Ok(Server {
             local_addr,
-            state,
             stop,
-            workers_stop,
-            poller,
-            queue,
+            shared,
             event_loop: Some(event_loop),
             supervisor: Some(supervisor),
         })
@@ -263,14 +256,14 @@ impl Server {
     /// The shared cache/metrics state (used by tests and the CLI's
     /// shutdown report).
     pub fn state(&self) -> &AppState {
-        &self.state
+        &self.shared.state
     }
 
     /// Announce shutdown without taking it: `/readyz` flips to 503 so
     /// load balancers drain this instance, while every other endpoint
     /// keeps serving.  Call [`Server::shutdown`] after the grace window.
     pub fn begin_drain(&self) {
-        self.state.begin_drain();
+        self.shared.state.begin_drain();
     }
 
     /// Stop accepting, finish every in-flight and buffered request,
@@ -283,16 +276,16 @@ impl Server {
         if self.event_loop.is_none() {
             return;
         }
-        self.state.begin_drain();
+        self.shared.state.begin_drain();
         self.stop.store(true, Ordering::SeqCst);
-        let _ = self.poller.notify();
+        let _ = self.shared.poller.notify();
         if let Some(h) = self.event_loop.take() {
             let _ = h.join();
         }
         // Only now may the workers exit: the event loop has drained, so
         // no Work::Request can still be enqueued behind their backs.
-        self.workers_stop.store(true, Ordering::SeqCst);
-        self.queue.1.notify_all();
+        self.shared.workers_stop.store(true, Ordering::SeqCst);
+        self.shared.queue.1.notify_all();
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
@@ -1157,24 +1150,27 @@ mod tests {
             ));
             c
         };
-        let _busy = send_miss(0);
-        let _queued = send_miss(1);
-        // Give the loop a beat to dispatch both.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut saw_429 = false;
-        let mut i = 2;
-        while Instant::now() < deadline && !saw_429 {
-            let mut c = send_miss(i);
-            i += 1;
-            let reply = c.read_one();
-            if reply.starts_with("HTTP/1.1 429") {
-                assert!(reply.contains("Retry-After: 1\r\n"), "{reply}");
-                saw_429 = true;
+        // Synchronise on server state, not on time: each step waits
+        // until the server has reached the state the next step needs.
+        let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !done() {
+                assert!(Instant::now() < deadline, "server never reached: {what}");
+                std::thread::sleep(Duration::from_millis(1));
             }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(saw_429, "never saw a 429 while saturated");
-        assert!(server.state().metrics.rejected_count() >= 1);
+        };
+        let _busy = send_miss(0);
+        wait_until("worker popped the first miss", &|| {
+            server.shared.serve_seq.load(Ordering::SeqCst) == 1
+        });
+        let _queued = send_miss(1);
+        wait_until("second miss queued", &|| {
+            server.state().metrics.queue_depth.load(Ordering::SeqCst) == 1
+        });
+        let reply = send_miss(2).read_one();
+        assert!(reply.starts_with("HTTP/1.1 429"), "{reply}");
+        assert!(reply.contains("Retry-After: 1\r\n"), "{reply}");
+        assert_eq!(server.state().metrics.rejected_count(), 1);
         server.shutdown();
     }
 

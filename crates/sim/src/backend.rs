@@ -243,24 +243,6 @@ impl ClusterBackend {
         self.nodes.iter().map(|n| n.io.busy_cycles()).sum()
     }
 
-    /// L1 hit latency in cycles — the epoch engine applies speculative hits
-    /// outside [`ClusterBackend::access`] and needs the same cost.
-    pub(crate) fn hit_latency(&self) -> u64 {
-        self.hit_lat
-    }
-
-    /// The per-processor L1 caches, for the epoch engine's parallel Phase A
-    /// (each worker touches only its own shard's caches).
-    pub(crate) fn caches_mut(&mut self) -> &mut [SetAssocCache] {
-        &mut self.caches
-    }
-
-    /// Credit `n` L1 hits applied outside [`ClusterBackend::access`] (the
-    /// epoch engine's speculative Phase A hits).
-    pub(crate) fn add_l1_hits(&mut self, n: u64) {
-        self.counts.l1_hits += n;
-    }
-
     fn node_of(&self, proc: usize) -> usize {
         proc / self.n_per_node
     }

@@ -161,7 +161,6 @@ pub struct SimSession {
     backend: ClusterBackend,
     sources: Vec<ProcSource>,
     observers: Vec<Box<dyn SimObserver>>,
-    sim_threads: usize,
 }
 
 impl SimSession {
@@ -171,7 +170,6 @@ impl SimSession {
             backend,
             sources: Vec::new(),
             observers: Vec::new(),
-            sim_threads: 0,
         }
     }
 
@@ -201,27 +199,17 @@ impl SimSession {
         self
     }
 
-    /// Select the engine: `0` (the default) runs the classic conservative
-    /// engine in this module; any `n ≥ 1` runs the epoch-parallel engine
-    /// (see [`crate::epoch`]) with `n` host threads.  The epoch engine's
-    /// results are identical for every `n` — the thread count is a host
-    /// resource knob, never a simulated parameter.
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads;
+    /// Accepts only `0`, the classic engine, which is the only engine.
+    /// Kept for the benchmark harness in `perfbench/`, which calls it.
+    #[doc(hidden)]
+    pub fn sim_threads(self, threads: usize) -> Self {
+        assert_eq!(threads, 0, "the classic engine is the only engine");
         self
     }
 
     /// Run to completion.  Panics unless `sources.len()` equals the
     /// backend's processor count.
     pub fn run(self) -> SessionOutput {
-        if self.sim_threads > 0 {
-            return crate::epoch::run_epoch(
-                self.backend,
-                self.sources,
-                self.observers,
-                self.sim_threads,
-            );
-        }
         let engine = Engine::build(self.backend, self.sources, self.observers);
         let (report, observers) = engine.run_inner();
         SessionOutput { report, observers }
@@ -237,11 +225,6 @@ pub struct SessionOutput {
 }
 
 impl SessionOutput {
-    /// Assemble an output from a finished engine's parts (epoch engine).
-    pub(crate) fn from_parts(report: SimReport, observers: Vec<Box<dyn SimObserver>>) -> Self {
-        SessionOutput { report, observers }
-    }
-
     /// Borrow the first attached observer of concrete type `T`.
     pub fn observer<T: SimObserver>(&self) -> Option<&T> {
         self.observers

@@ -30,7 +30,6 @@ pub mod backend;
 pub mod cache;
 pub mod dirtable;
 pub mod engine;
-pub mod epoch;
 pub mod event;
 pub mod homemap;
 pub mod observe;
