@@ -1,5 +1,5 @@
 //! Throughput of the trace-analysis substrate: exact stack distances
-//! (Bennett–Kruskal + Fenwick) vs the naive LRU-stack reference, and the
+//! (Bennett–Kruskal over a slot bitmap) vs the naive LRU-stack reference, and the
 //! (α, β) fitter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

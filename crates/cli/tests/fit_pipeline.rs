@@ -138,7 +138,8 @@ fn record_fit_optimize_roundtrip() {
 }
 
 /// Typed failures surface as clean CLI errors, not panics: a missing
-/// trace file, a non-power-of-two granularity, and a malformed report.
+/// trace file, a corrupt block record count, a non-power-of-two
+/// granularity, and a malformed report.
 #[test]
 fn pipeline_errors_are_typed() {
     let run = |args: &[&str]| {
@@ -146,11 +147,22 @@ fn pipeline_errors_are_typed() {
             .args(args)
             .output()
             .expect("binary runs");
-        assert!(!out.status.success(), "memhier {args:?} should fail");
+        assert_eq!(out.status.code(), Some(1), "memhier {args:?} should fail");
         String::from_utf8_lossy(&out.stderr).to_string()
     };
     let missing = run(&["fit", "--trace", "/nonexistent/nope.mtr"]);
     assert!(missing.contains("error:"), "no error line: {missing}");
+
+    // Bytes 40..44 are the first block's record count, outside the block
+    // checksum; a huge count must not size an allocation (that aborted).
+    let corrupt = tmp("corrupt_count.mtr");
+    let corrupt_str = corrupt.to_str().unwrap();
+    memhier_stdout(&["record", "--scenario", "C1:FFT:small", "-o", corrupt_str]);
+    let mut bytes = std::fs::read(&corrupt).expect("read trace");
+    bytes[43] ^= 0x7f;
+    std::fs::write(&corrupt, &bytes).expect("write trace");
+    let bad_count = run(&["fit", "--trace", corrupt_str]);
+    assert!(bad_count.contains("error:"), "no error line: {bad_count}");
 
     let bad_gran = run(&[
         "fit",

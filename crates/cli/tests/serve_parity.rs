@@ -159,6 +159,43 @@ fn v1_fit_matches_cli_json_bytes() {
     server.shutdown();
 }
 
+/// A trace whose first block header carries a corrupt record count (a
+/// field outside the block checksum) gets the typed 422 envelope from
+/// `/v1/fit`, and the server keeps serving afterwards.  The corrupt count
+/// once sized a 17 GB allocation, and the failed allocation aborted the
+/// whole process.
+#[test]
+fn v1_fit_rejects_a_count_corrupted_trace_and_keeps_serving() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).expect("create tmp dir");
+    let trace = dir.join("parity_corrupt_count.mtr");
+    let trace_str = trace.to_str().expect("utf8 path");
+    memhier_stdout(&["record", "--scenario", "C1:FFT:small", "-o", trace_str]);
+    let mut bytes = std::fs::read(&trace).expect("read trace");
+    // Bytes 40..44 are the first block's record count (little-endian).
+    bytes[43] ^= 0x7f;
+    std::fs::write(&trace, &bytes).expect("write trace");
+
+    let server = server();
+    let body = format!(r#"{{"trace": "{trace_str}"}}"#);
+    let (status, reply) = serve_raw(&server, "POST", "/v1/fit", Some(&body));
+    assert_eq!(status, 422, "{reply}");
+    let doc: serde_json::Value = serde_json::from_str(&reply).expect("error body parses");
+    let e = doc.get("error").expect("envelope has `error`");
+    assert_eq!(
+        e.get("code").and_then(serde_json::Value::as_str),
+        Some("unprocessable")
+    );
+    let message = e
+        .get("message")
+        .and_then(serde_json::Value::as_str)
+        .expect("message is a string");
+    assert!(message.contains("block"), "{message}");
+    let (status, reply) = serve_raw(&server, "GET", "/livez", None);
+    assert_eq!(status, 200, "{reply}");
+    server.shutdown();
+}
+
 /// `/v1/optimize` must be byte-identical to `memhier optimize --json`
 /// for the same request — including the simulation confirmations, which
 /// ride on the deterministic engine.  The CLI's `--request` spelling

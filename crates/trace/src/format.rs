@@ -30,9 +30,10 @@
 //! [`TraceWriter::finish`]; a reader that sees the sentinel knows the
 //! producer died mid-write ([`TraceError::Unfinished`]).  Every
 //! corruption mode maps to a typed error: bad magic, unknown version,
-//! CRC mismatch (header or block), truncation mid-block, and a
-//! header/stream record-count disagreement for truncation at a block
-//! boundary.
+//! CRC mismatch (header or block), truncation mid-block, a block length
+//! or record count that cannot be right (the block header is outside the
+//! block CRC), and a header/stream record-count disagreement for
+//! truncation at a block boundary.
 
 use crate::fit::FitError;
 use std::fmt;
@@ -160,9 +161,11 @@ impl From<FitError> for TraceError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile
+/// time: `CRC_TABLES[0]` is the classic byte table, and `CRC_TABLES[k]`
+/// advances a byte's contribution past `k` further zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -175,17 +178,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -339,6 +366,8 @@ impl<W: Write + Seek> TraceWriter<W> {
 pub struct TraceReader<R: Read> {
     src: R,
     header: TraceHeader,
+    /// The current block's raw payload, reused from block to block.
+    payload: Vec<u8>,
     block: Vec<u64>,
     pos: usize,
     prev: u64,
@@ -387,6 +416,7 @@ impl<R: Read> TraceReader<R> {
                 record_count,
                 total_instructions: u64::from_le_bytes(h[24..32].try_into().unwrap()),
             },
+            payload: Vec::new(),
             block: Vec::new(),
             pos: 0,
             prev: 0,
@@ -402,20 +432,41 @@ impl<R: Read> TraceReader<R> {
 
     /// Next address, `Ok(None)` at a clean end of trace.
     pub fn next_record(&mut self) -> Result<Option<u64>, TraceError> {
-        if self.pos == self.block.len() && (self.done || !self.read_block()?) {
-            // End of stream: the header must agree.
-            if self.read_records != self.header.record_count {
-                return Err(TraceError::CountMismatch {
-                    header: self.header.record_count,
-                    read: self.read_records,
-                });
-            }
+        if !self.fill()? {
             return Ok(None);
         }
         let addr = self.block[self.pos];
         self.pos += 1;
         self.read_records += 1;
         Ok(Some(addr))
+    }
+
+    /// Up to `max` next addresses, all from one decoded block; empty at
+    /// a clean end of trace.
+    pub(crate) fn next_records(&mut self, max: usize) -> Result<&[u64], TraceError> {
+        if !self.fill()? {
+            return Ok(&[]);
+        }
+        let start = self.pos;
+        self.pos += max.min(self.block.len() - start);
+        self.read_records += (self.pos - start) as u64;
+        Ok(&self.block[start..self.pos])
+    }
+
+    /// Ensure the current block has an unread record, decoding the next
+    /// block when it is used up; `Ok(false)` at a clean end of trace.
+    fn fill(&mut self) -> Result<bool, TraceError> {
+        if self.pos < self.block.len() || (!self.done && self.read_block()?) {
+            return Ok(true);
+        }
+        // End of stream: the header must agree.
+        if self.read_records != self.header.record_count {
+            return Err(TraceError::CountMismatch {
+                header: self.header.record_count,
+                read: self.read_records,
+            });
+        }
+        Ok(false)
     }
 
     /// Read and decode the next block; `Ok(false)` at clean EOF.
@@ -441,11 +492,19 @@ impl<R: Read> TraceReader<R> {
                 format!("implausible payload length {len}"),
             ));
         }
-        let mut payload = vec![0u8; len];
+        // Every record takes at least one payload byte.  The count field
+        // is outside the checksum, so bound it before it sizes anything.
+        if count > len {
+            return Err(TraceError::Invalid(
+                "block",
+                format!("block promises {count} records in {len} payload bytes"),
+            ));
+        }
+        self.payload.resize(len, 0);
         self.src
-            .read_exact(&mut payload)
+            .read_exact(&mut self.payload)
             .map_err(|e| truncated_as(e, "block payload"))?;
-        let computed = crc32(&payload);
+        let computed = crc32(&self.payload);
         if stored != computed {
             return Err(TraceError::CrcMismatch {
                 what: "block",
@@ -455,6 +514,7 @@ impl<R: Read> TraceReader<R> {
         }
         self.block.clear();
         self.block.reserve(count);
+        let payload = &self.payload;
         let mut pos = 0usize;
         let mut prev = self.prev;
         while pos < payload.len() {
@@ -551,6 +611,32 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_definition() {
+        // Slicing-by-8 must agree with the one-bit-at-a-time CRC at every
+        // length and alignment, including the sub-8-byte tails.
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut c = !0u32;
+            for &b in bytes {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        }
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 167 + 13) as u8).collect();
+        for start in 0..9 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bitwise(&data[start..end]));
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! # memhier-trace
 //!
 //! Address-trace collection and analysis for the IPPS'99 memory-hierarchy
-//! model: exact LRU **stack-distance** computation (Bennett–Kruskal with a
-//! Fenwick tree), distance **histograms** and empirical CDFs, least-squares
-//! **fitting** of the paper's locality parameters `(α, β)` (eq. 1), the
-//! memory-reference density **ρ**, and a **synthetic trace generator** that
-//! draws references from a target `(α, β)` distribution (used both for
-//! property tests and for controlled model-vs-simulation experiments).
+//! model: exact LRU **stack-distance** computation (Bennett–Kruskal over a
+//! slot bitmap and a Fenwick tree of word popcounts), distance
+//! **histograms** and empirical CDFs, least-squares **fitting** of the
+//! paper's locality parameters `(α, β)` (eq. 1), the memory-reference
+//! density **ρ**, and a **synthetic trace generator** that draws
+//! references from a target `(α, β)` distribution (used both for property
+//! tests and for controlled model-vs-simulation experiments).
 //!
 //! The paper's §7 sketches exactly this toolchain: "(1) an efficient tool to
 //! collect application program memory access traces, (2) a trace analysis

@@ -224,8 +224,8 @@ pub struct FitRequest {
     pub trace: String,
     /// Analysis granularity in bytes (power of two).
     pub granularity: u64,
-    /// Records per I/O chunk — a memory/latency knob only; results are
-    /// identical for every value.
+    /// Records per I/O chunk, at most 2^20 of which are buffered — a
+    /// memory/latency knob only; results are identical for every value.
     pub chunk_records: u64,
 }
 
@@ -418,16 +418,19 @@ pub fn run_fit(req: &FitRequest) -> Result<FitReport, TraceError> {
     let mut reader = TraceReader::open(Path::new(&req.trace))?;
     let total_instructions = reader.header().total_instructions;
     let mut analyzer = StreamAnalyzer::new(req.granularity);
-    // Cap the chunk buffer allocation independently of the request knob.
-    let cap = req.chunk_records.min(1 << 20) as usize;
-    let mut chunk: Vec<u64> = Vec::with_capacity(cap);
+    // Chunk boundaries never show in the report, so the chunk is capped
+    // independently of the request knob: a huge `chunk_records` must not
+    // make the whole trace resident.
+    let chunk_records = req.chunk_records.min(1 << 20) as usize;
+    let mut chunk: Vec<u64> = Vec::with_capacity(chunk_records);
     loop {
         chunk.clear();
-        while (chunk.len() as u64) < req.chunk_records {
-            match reader.next_record()? {
-                Some(addr) => chunk.push(addr),
-                None => break,
+        while chunk.len() < chunk_records {
+            let records = reader.next_records(chunk_records - chunk.len())?;
+            if records.is_empty() {
+                break;
             }
+            chunk.extend_from_slice(records);
         }
         if chunk.is_empty() {
             break;

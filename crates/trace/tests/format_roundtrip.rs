@@ -131,3 +131,33 @@ proptest! {
         prop_assert_eq!(&seen[..], &addrs[..seen.len()]);
     }
 }
+
+/// The first block header's `len` (bytes 36..40) and `count` (40..44)
+/// fields sit outside the block checksum.  Corrupting any of their bytes
+/// must still give a typed error, and must never size an allocation from
+/// the corrupt value: the high count byte XOR 0x7f once made the reader
+/// ask for 17 GB and abort the process.
+#[test]
+fn corrupt_block_length_and_count_are_typed_errors() {
+    let addrs: Vec<u64> = (0..50_000u64).map(|i| i * 64 % 1_000_003).collect();
+    let bytes = encode(&addrs, memhier_trace::format::DEFAULT_BLOCK_PAYLOAD, 1, 9);
+    for pos in 36..44 {
+        for mask in [0x01u8, 0x10, 0x7f, 0x80, 0xff] {
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= mask;
+            let (seen, err) = drain(&corrupt);
+            assert!(
+                err.is_some(),
+                "byte {pos} ^ {mask:#04x} went unnoticed ({} records decoded)",
+                seen.len()
+            );
+            assert!(seen.is_empty(), "byte {pos} ^ {mask:#04x} leaked records");
+        }
+    }
+    let mut corrupt = bytes.clone();
+    corrupt[43] ^= 0x7f;
+    assert!(
+        matches!(drain(&corrupt).1, Some(TraceError::Invalid("block", _))),
+        "an implausible record count is an invalid block"
+    );
+}

@@ -152,15 +152,16 @@ proptest! {
 // ---------------------------------------------------------------------
 // Differential test across the analyzer's slot-compaction boundary.
 //
-// `StackDistanceAnalyzer` appends one slot per access to a fixed-width
-// Fenwick tree and *compacts* (rebuilds the slot array and re-indexes
-// every live block) each time the 2^16-slot window fills.  A bookkeeping
-// bug there — a stale Fenwick count, a wrong slot remap — is invisible
-// to short traces and only materializes after the first compaction.
+// `StackDistanceAnalyzer` appends one time slot per access to a slot
+// bitmap (with a Fenwick tree over its words) and *compacts* (renumbers
+// every live block to its rank) each time the slot space fills; the space
+// is never smaller than 2^16 slots.  A bookkeeping bug there — a stale
+// Fenwick count, a wrong rank — is invisible to short traces and only
+// materializes after the first compaction.
 // These tests drive interleaved reuse well past two compactions and
 // demand exact agreement with the O(M·B) naive LRU stack.
 
-/// Mirrors the private `StackDistanceAnalyzer::INITIAL_SLOTS`.
+/// Mirrors the private minimum slot space in `stackdist.rs`.
 const INITIAL_SLOTS: usize = 1 << 16;
 
 /// Deterministic reuse-heavy stream: a hot set revisited constantly

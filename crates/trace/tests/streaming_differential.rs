@@ -123,8 +123,8 @@ fn out_of_core_trace_fits_in_bounded_state() {
         (an.peak_state_bytes(), file_bytes)
     };
 
-    // 4x the chunk budget, then 16x that again (the fenwick tree's
-    // fixed 2^16-slot preallocation is ~256 KiB, so the file must be
+    // 4x the chunk budget, then 16x that again (the analyzer's initial
+    // 2^16-slot index and slot map take ~30 KiB, so the file must be
     // comfortably past that to demonstrate the bound).
     let small = gen((4 * CHUNK_RECORDS) as usize);
     let large = gen((64 * CHUNK_RECORDS) as usize);
